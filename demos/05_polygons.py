@@ -1,9 +1,9 @@
 """Counting lattice points in arbitrary simple rational polygons.
 
-Any simple polygon with rational vertices decomposes into pieces that the
-rectangle and right-triangle machinery counts exactly; the library stitches
-the pieces together and corrects the shared boundaries with exact segment
-counts.  For integer vertices, Pick's theorem gives an independent sanity
+Any simple polygon with rational vertices is counted edge by edge: the
+column trapezoid under each edge splits into pieces that the rectangle and
+right-triangle machinery counts exactly, and exact segment counts restore
+the boundary points the trapezoids miss.  For integer vertices, Pick's theorem gives an independent sanity
 check: Area = Interior + Boundary/2 - 1.
 """
 

@@ -192,7 +192,7 @@ def validate_dilation(system: SimplexSystem, t: Sequence[int]) -> ValidityReport
     own deleted facet.
     """
     cands = vertices(system, t)
-    vec = check_dilation(system, t)
+    vec = tuple(t)  # validated by vertices()
     nonempty = any(actual for _, actual in cands)
     full_dim = all(
         dot(system.a_matrix[i], point) < vec[i] for i, (point, _) in enumerate(cands)

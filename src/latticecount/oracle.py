@@ -28,26 +28,17 @@ class CellBudgetExceededError(LatticeCountError):
     """The bounding box has more cells than the enumeration budget allows."""
 
 
-def _box_ranges(
-    system: SimplexSystem, t: Sequence[int], cell_budget: int
-) -> list[range]:
+def _bounding_box(system: SimplexSystem, t: Sequence[int]) -> tuple[list[range], int]:
+    """(Per-axis integer ranges, cell count) of a nonempty dilation's bounding box."""
     report = validate_dilation(system, t)
     if not report.nonempty:
         raise InvalidDilationError("region is empty; nothing to enumerate")
     assert report.vertices is not None
-    cells = 1
     ranges = []
     for axis in range(system.n):
         coords = [v[axis] for v in report.vertices]
-        lo = math.ceil(min(coords))
-        hi = math.floor(max(coords))
-        ranges.append(range(lo, hi + 1))
-        cells *= max(0, hi - lo + 1)
-    if cells > cell_budget:
-        raise CellBudgetExceededError(
-            f"bounding box has {cells} cells, budget is {cell_budget}"
-        )
-    return ranges
+        ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
+    return ranges, math.prod(len(r) for r in ranges)
 
 
 def _count(
@@ -55,7 +46,11 @@ def _count(
 ) -> int:
     vec = check_dilation(system, t)
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    ranges = _box_ranges(system, vec, budget)
+    ranges, cells = _bounding_box(system, vec)
+    if cells > budget:
+        raise CellBudgetExceededError(
+            f"bounding box has {cells} cells, budget is {budget}"
+        )
     rows = system.a_matrix
     count = 0
     for point in itertools.product(*ranges):

@@ -1,21 +1,21 @@
-"""Lattice-point counts for simple rational polygons by signed decomposition.
+"""Lattice-point counts for simple rational polygons in one signed edge pass.
 
-The polygon is triangulated exactly (ear clipping with rational
-predicates); since the triangles tile the polygon edge-to-edge, the closure
-count is the sum of closed-triangle counts minus the lattice points on the
-shared diagonals - every other face correction cancels.
+Every non-vertical edge of the counterclockwise boundary is measured
+against one horizontal baseline strictly below the polygon: the lattice
+points in the half-open integer columns [min x, max x) of the edge, strictly
+above the baseline and on or below the edge, form a column trapezoid that
+splits into an axis-aligned rectangle plus an axis-legged right triangle
+counted by the rectangular-triangle closed form.  Edges heading left (the
+upper boundary) add their trapezoid and edges heading right (the lower
+boundary) subtract it, which leaves each lattice point from which the
+direction "straight down, tilted infinitesimally right" enters the interior.
 
-Each closed triangle is in turn counted edge by edge against a horizontal
-baseline strictly below it: every non-vertical edge contributes a signed
-count of the lattice points in the half-open column trapezoid between the
-edge and the baseline, a trapezoid that splits into an axis-aligned
-rectangle plus an axis-legged right triangle counted by the rectangular-
-triangle closed form.  Lattice points sitting on downward-facing edges and
-on vertical right walls are restored by explicit segment counts.  For a
-convex piece this bookkeeping is exhaustive (the only configurations are a
-lower chain, an upper chain, at most one wall on each side, and a possible
-integral rightmost corner), which is why the general polygon is first cut
-into triangles.
+The boundary points that direction misses are put back.  An edge u -> v is
+restored when (v - u) > (0, 0) lexicographically - it heads right or straight
+up - and contributes its lattice points on [u, v).  Each integral vertex then
+corrects its own count: it loses 1 when its out-edge is restored, its
+in-edge is not and the vertex is reflex, and gains 1 when its in-edge is
+restored, its out-edge is not and the vertex is convex.
 
 Right-triangle pieces may have a rational hypotenuse offset; because the
 normal (c1, c2) is integer, snapping the offset to its floor keeps the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .core import LatticeCountError, Point, Rational
@@ -233,92 +232,33 @@ def _trapezoid_count(u: Point, v: Point, baseline: int) -> int:
     return rect + tri - overlap
 
 
-def _closed_triangle_count(a: Point, b: Point, c: Point) -> int:
-    """Closure count of a nondegenerate counterclockwise triangle."""
-    assert _orient(a, b, c) > 0
-    verts = (a, b, c)
-    baseline = math.floor(min(p[1] for p in verts)) - 1
-    total = 0
-    for i in range(3):
-        u, v = verts[i], verts[(i + 1) % 3]
-        if u[0] == v[0]:
-            if v[1] > u[1]:  # upward wall: the rightmost, column is all ours
-                total += segment_lattice_count(u, v)
-            continue
-        n_trap = _trapezoid_count(u, v, baseline)
-        if v[0] > u[0]:  # downward-facing edge: subtract, then restore its points
-            total -= n_trap
-            total += segment_lattice_count(u, v, half_open=True)
-        else:
-            total += n_trap
-    x_max = max(p[0] for p in verts)
-    peak = [p for p in verts if p[0] == x_max]
-    if len(peak) == 1 and peak[0][0].denominator == 1 and peak[0][1].denominator == 1:
-        total += 1  # pointy integral rightmost corner sits in no half-open column
-    return total
-
-
-def _drop_collinear(verts: Sequence[Point]) -> list[Point]:
-    out = list(verts)
-    changed = True
-    while changed and len(out) > 3:
-        changed = False
-        for i in range(len(out)):
-            if _orient(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
-                del out[i]
-                changed = True
-                break
-    return out
-
-
-@lru_cache(maxsize=None)
-def _triangulation(
-    poly: PolygonSpec,
-) -> tuple[tuple[tuple[Point, Point, Point], ...], tuple[tuple[Point, Point], ...]]:
-    """Ear-clipping triangulation: (triangles, interior diagonals)."""
-    verts = _drop_collinear(poly.vertices)
-    if len(verts) < 3:
-        raise PolygonError("polygon has no area")
-    idx = list(range(len(verts)))
-    triangles: list[tuple[Point, Point, Point]] = []
-    diagonals: list[tuple[Point, Point]] = []
-    while len(idx) > 3:
-        for pos in range(len(idx)):
-            a = verts[idx[pos - 1]]
-            b = verts[idx[pos]]
-            c = verts[idx[(pos + 1) % len(idx)]]
-            if _orient(a, b, c) <= 0:
-                continue
-            blocked = False
-            for j in idx:
-                if j in (idx[pos - 1], idx[pos], idx[(pos + 1) % len(idx)]):
-                    continue
-                p = verts[j]
-                if (
-                    _orient(a, b, p) >= 0
-                    and _orient(b, c, p) >= 0
-                    and _orient(c, a, p) >= 0
-                ):
-                    blocked = True
-                    break
-            if not blocked:
-                triangles.append((a, b, c))
-                diagonals.append((a, c))
-                del idx[pos]
-                break
-        else:
-            raise PolygonError("triangulation failed; polygon is not simple")
-    last = (verts[idx[0]], verts[idx[1]], verts[idx[2]])
-    assert _orient(*last) > 0
-    triangles.append(last)
-    return tuple(triangles), tuple(diagonals)
-
-
 def count_closure_polygon(poly: PolygonSpec) -> int:
     """Exact number of lattice points in the closed polygon."""
-    triangles, diagonals = _triangulation(poly)
-    total = sum(_closed_triangle_count(*tri) for tri in triangles)
-    total -= sum(segment_lattice_count(p, q) for p, q in diagonals)
+    verts = poly.vertices
+    m = len(verts)
+    baseline = math.floor(min(y for _, y in verts)) - 1
+    # The trapezoids count a lattice point exactly when the direction
+    # "straight down, tilted infinitesimally right" leads from it into the
+    # interior; the restore terms add the boundary points where it does not.
+    restored = []
+    total = 0
+    for i in range(m):
+        u, v = verts[i], verts[(i + 1) % m]
+        if u[0] != v[0]:
+            n_trap = _trapezoid_count(u, v, baseline)
+            total += n_trap if v[0] < u[0] else -n_trap
+        restored.append((v[0] - u[0], v[1] - u[1]) > (0, 0))
+        if restored[i]:
+            total += segment_lattice_count(u, v, half_open=True)
+    for i in range(m):
+        v = verts[i]
+        if v[0].denominator != 1 or v[1].denominator != 1:
+            continue
+        turn = _orient(verts[i - 1], v, verts[(i + 1) % m])
+        if restored[i] and not restored[i - 1] and turn < 0:
+            total -= 1
+        elif restored[i - 1] and not restored[i] and turn > 0:
+            total += 1
     return total
 
 

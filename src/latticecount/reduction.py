@@ -20,7 +20,7 @@ the orientation the recursion's loop bounds assume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from ._linalg import det_int, mat_mul_int
@@ -130,14 +130,7 @@ def unimodular_reduce(system: SimplexSystem) -> ReductionStep:
         vertex_denom=1,
     )
     coeffs, denom = first_coordinate_functional(step)
-    return ReductionStep(
-        basis_change=step.basis_change,
-        leading_coeff=step.leading_coeff,
-        first_column_tail=step.first_column_tail,
-        trailing_block=step.trailing_block,
-        vertex_coeffs=coeffs,
-        vertex_denom=denom,
-    )
+    return replace(step, vertex_coeffs=coeffs, vertex_denom=denom)
 
 
 def reduced_system(system: SimplexSystem) -> SimplexSystem:

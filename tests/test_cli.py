@@ -104,6 +104,16 @@ def test_cell_budget_env_guard(files, capsys, monkeypatch):
     assert "budget" in capsys.readouterr().err
 
 
+def test_negative_cell_budget_exits_2(files, capsys, monkeypatch):
+    # a negative budget would silently switch off the auto cross-check
+    monkeypatch.setenv("LATTICECOUNT_CELL_BUDGET", "-1")
+    for engine in ("auto", "oracle"):
+        assert main(["count", files["triangle"], "--engine", engine]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "LATTICECOUNT_CELL_BUDGET" in captured.err
+
+
 def test_degenerate_interior_is_geometric_zero(tmp_path, capsys):
     point = tmp_path / "point.txt"
     point.write_text("simplex n=2\n-1 0\n0 -1\n1 1\nt: 0 0 0\n")

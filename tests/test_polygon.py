@@ -156,3 +156,93 @@ def test_single_triangles_fuzz_against_bruteforce():
         closure, interior = polygon_bruteforce_counts(poly)
         assert count_closure_polygon(poly) == closure
         assert count_interior_polygon(poly) == interior
+
+
+# --- stress shapes: non-star polygons with walls, notches and collinear runs
+
+
+def _comb(teeth, tooth, gap, depth, base):
+    """Counterclockwise comb: a bar of height `base` with `teeth` upward teeth."""
+    pitch = tooth + gap
+    pts = [(0, 0), (teeth * pitch - gap, 0)]
+    for k in reversed(range(teeth)):
+        right = k * pitch + tooth
+        pts += [(right, base + depth), (right - tooth, base + depth)]
+        if k:
+            pts += [(right - tooth, base), (right - pitch, base)]
+    return pts
+
+
+def _spiral(turns, width=2, gap=1):
+    """Counterclockwise thick rectangular spiral: a corridor `width` wide
+    around a square spiral path whose arms are `width + gap` apart."""
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    path = [(0, 0)]
+    for k in range(turns):
+        dx, dy = dirs[k % 4]
+        length = (width + gap) * (k // 2 + 1)
+        path.append((path[-1][0] + dx * length, path[-1][1] + dy * length))
+    normals = [(-dirs[k % 4][1], dirs[k % 4][0]) for k in range(turns)]
+    normals = normals[:1] + normals + normals[-1:]  # in and out normal per point
+    left, right = [], []
+    for (x, y), n_in, n_out in zip(path, normals, normals[1:]):
+        nx, ny = (n_in[0] + n_out[0], n_in[1] + n_out[1]) if n_in != n_out else n_in
+        left.append((x + Fraction(width, 2) * nx, y + Fraction(width, 2) * ny))
+        right.append((x - Fraction(width, 2) * nx, y - Fraction(width, 2) * ny))
+    return right + left[::-1]
+
+
+def _quarter_turns(pts, k):
+    for _ in range(k):
+        pts = [(-y, x) for x, y in pts]
+    return pts
+
+
+STRESS_SHAPES = [
+    _comb(3, tooth=2, gap=2, depth=3, base=2),
+    _comb(4, tooth=1, gap=1, depth=2, base=1),  # one-column teeth and gaps
+    _spiral(6),
+    _spiral(9),
+    # collinear runs on the bottom, the right wall, the slanted top and the
+    # left wall, some of them through rational points
+    [(0, 0), (Fraction(1, 2), 0), (2, 0), (4, 0), (4, Fraction(3, 2)), (4, 3),
+     (2, 4), (1, Fraction(9, 2)), (0, 5), (0, 2)],
+    # darts: integral reflex vertices at a local x-maximum and x-minimum
+    [(0, 0), (4, 2), (0, 4), (2, 2)],
+    [(0, 0), (-4, -2), (0, -4), (-2, -2)],
+    # integral reflex vertex where a vertical wall meets a slanted edge
+    [(0, 0), (4, 0), (4, 3), (2, 3), (2, 1), (1, 2), (0, 2)],
+]
+
+# Shifts and a shear that keep vertices on lattice lines: x + 1/3 keeps
+# integer y, y + 1/2 keeps vertical walls at integer x, the shear slants them.
+STRESS_MAPS = [
+    lambda x, y: (x, y),
+    lambda x, y: (x + Fraction(1, 3), y),
+    lambda x, y: (x, y + Fraction(1, 2)),
+    lambda x, y: (x + Fraction(y) / 2, y),
+]
+
+
+def test_stress_shapes_match_bruteforce():
+    for shape in STRESS_SHAPES:
+        for k in range(4):
+            for transform in STRESS_MAPS:
+                poly = PolygonSpec(
+                    [transform(*p) for p in _quarter_turns(shape, k)]
+                )
+                closure, interior = polygon_bruteforce_counts(poly)
+                assert count_closure_polygon(poly) == closure
+                assert count_interior_polygon(poly) == interior
+
+
+def test_large_integral_shapes_picks_and_translation():
+    # brute force is too slow past 100 vertices; Pick's theorem and
+    # translation invariance are exact oracles for integral shapes
+    for shape in (_comb(30, tooth=2, gap=2, depth=3, base=2), _spiral(52)):
+        assert len(shape) > 100
+        poly = PolygonSpec(shape)
+        assert picks_check(poly)
+        shifted = PolygonSpec([(x + 5, y - 11) for x, y in shape])
+        assert count_closure_polygon(shifted) == count_closure_polygon(poly)
+        assert count_interior_polygon(shifted) == count_interior_polygon(poly)
