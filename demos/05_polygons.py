@@ -1,10 +1,10 @@
 """Counting lattice points in arbitrary simple rational polygons.
 
 Any simple polygon with rational vertices is counted edge by edge: the
-column trapezoid under each edge splits into pieces that the rectangle and
-right-triangle machinery counts exactly, and exact segment counts restore
-the boundary points the trapezoids miss.  For integer vertices, Pick's theorem gives an independent sanity
-check: Area = Interior + Boundary/2 - 1.
+column trapezoid under each edge is one floor sum over its integer columns,
+and exact segment counts restore the boundary points the trapezoids miss.
+For integer vertices, Pick's theorem gives an independent sanity check:
+Area = Interior + Boundary/2 - 1.
 """
 
 from fractions import Fraction

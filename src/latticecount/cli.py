@@ -182,7 +182,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         else:
             value = count_interior(system, t) if strict else count_closure(system, t)
         if args.engine == "auto":
-            _, cells = _bounding_box(system, t)
+            _, cells = _bounding_box(report.vertices)
             if cells <= min(budget, AUTO_CROSSCHECK_CELLS):
                 fn = count_interior_bruteforce if strict else count_closure_bruteforce
                 reference = fn(system, t, cell_budget=budget)

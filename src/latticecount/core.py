@@ -62,6 +62,28 @@ def floor_div(p: int, q: int) -> int:
     return p // q
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b)/m) over i = 0 .. n-1, for n >= 0 and m >= 1.
+
+    Euclid-like reduction (Knuth, TAOCP vol. 2, 3.3.3): split off the
+    integer parts of a/m and b/m, then count the same lattice points under
+    the line by rows instead of columns, which swaps the roles of a and m.
+    Runs in O(log m) rounds on exact integers of any sign and size.
+    """
+    if n < 0 or m < 1:
+        raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
 def _as_int(x: object, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise InvalidSimplexError(f"{what} must be an integer, got {x!r}")

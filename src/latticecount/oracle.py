@@ -16,6 +16,7 @@ from typing import Sequence
 from .core import (
     InvalidDilationError,
     LatticeCountError,
+    Point,
     SimplexSystem,
     check_dilation,
     validate_dilation,
@@ -28,16 +29,10 @@ class CellBudgetExceededError(LatticeCountError):
     """The bounding box has more cells than the enumeration budget allows."""
 
 
-def _bounding_box(system: SimplexSystem, t: Sequence[int]) -> tuple[list[range], int]:
-    """(Per-axis integer ranges, cell count) of a nonempty dilation's bounding box."""
-    report = validate_dilation(system, t)
-    if not report.nonempty:
-        raise InvalidDilationError("region is empty; nothing to enumerate")
-    assert report.vertices is not None
-    ranges = []
-    for axis in range(system.n):
-        coords = [v[axis] for v in report.vertices]
-        ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
+def _bounding_box(verts: Sequence[Point]) -> tuple[list[range], int]:
+    """(Per-axis integer ranges, cell count) of the bounding box of the
+    vertices of a nonempty dilation, as listed by its `ValidityReport`."""
+    ranges = [range(math.ceil(min(c)), math.floor(max(c)) + 1) for c in zip(*verts)]
     return ranges, math.prod(len(r) for r in ranges)
 
 
@@ -46,7 +41,10 @@ def _count(
 ) -> int:
     vec = check_dilation(system, t)
     budget = DEFAULT_CELL_BUDGET if cell_budget is None else cell_budget
-    ranges, cells = _bounding_box(system, vec)
+    report = validate_dilation(system, vec)
+    if not report.nonempty:
+        raise InvalidDilationError("region is empty; nothing to enumerate")
+    ranges, cells = _bounding_box(report.vertices)
     if cells > budget:
         raise CellBudgetExceededError(
             f"bounding box has {cells} cells, budget is {budget}"

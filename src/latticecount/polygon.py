@@ -3,12 +3,14 @@
 Every non-vertical edge of the counterclockwise boundary is measured
 against one horizontal baseline strictly below the polygon: the lattice
 points in the half-open integer columns [min x, max x) of the edge, strictly
-above the baseline and on or below the edge, form a column trapezoid that
-splits into an axis-aligned rectangle plus an axis-legged right triangle
-counted by the rectangular-triangle closed form.  Edges heading left (the
-upper boundary) add their trapezoid and edges heading right (the lower
-boundary) subtract it, which leaves each lattice point from which the
-direction "straight down, tilted infinitesimally right" enters the interior.
+above the baseline and on or below the edge, form a column trapezoid.
+Writing the edge's line as y = (a*x + b)/n with integers a, b and n > 0,
+column x holds floor((a*x + b)/n) - baseline of them, so the trapezoid is
+one floor sum, computed by Euclid-like reduction in logarithmic time.
+Edges heading left (the upper boundary) add their trapezoid and edges
+heading right (the lower boundary) subtract it, which leaves each lattice
+point from which the direction "straight down, tilted infinitesimally
+right" enters the interior.
 
 The boundary points that direction misses are put back.  An edge u -> v is
 restored when (v - u) > (0, 0) lexicographically - it heads right or straight
@@ -17,10 +19,9 @@ corrects its own count: it loses 1 when its out-edge is restored, its
 in-edge is not and the vertex is reflex, and gains 1 when its in-edge is
 restored, its out-edge is not and the vertex is convex.
 
-Right-triangle pieces may have a rational hypotenuse offset; because the
-normal (c1, c2) is integer, snapping the offset to its floor keeps the
-lattice set identical while producing the integer data the closed form
-wants.
+The lattice points of a non-vertical segment are the integer columns x in
+its span where n divides a*x + b: the difference of two floor sums, at
+offsets b and b - 1.
 
 The interior count is the closure count minus the boundary count, the
 boundary being covered exactly once by half-open edges.
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import LatticeCountError, Point, Rational
-from .triangle import TriangleDilation, TriangleSpec, count_closure_triangle
+from .core import LatticeCountError, Point, Rational, floor_sum
 
 
 class PolygonError(LatticeCountError):
@@ -120,14 +120,27 @@ def _twice_area(verts: Sequence[Point]) -> Fraction:
     return total
 
 
+def _edge_line(u: Point, v: Point) -> tuple[int, int, int]:
+    """Integers (a, b, n) with n > 0 and y = (a*x + b)/n on the line uv
+    (u, v not vertical)."""
+    slope = (v[1] - u[1]) / (v[0] - u[0])
+    offset = u[1] - slope * u[0]
+    n = math.lcm(slope.denominator, offset.denominator)
+    return (
+        slope.numerator * (n // slope.denominator),
+        offset.numerator * (n // offset.denominator),
+        n,
+    )
+
+
 def segment_lattice_count(
     p: Sequence[Rational | int], q: Sequence[Rational | int], half_open: bool = False
 ) -> int:
     """Number of integer points on segment [p, q], or [p, q) when half_open.
 
-    Lattice points on the carrier line, when they exist, are spaced by the
-    primitive integer direction vector; it is enough to find the first one
-    in range exactly and count the arithmetic progression.
+    On a non-vertical segment y = (a*x + b)/n, the integer column x holds a
+    lattice point exactly when n divides a*x + b, that is when
+    floor((a*x + b)/n) - floor((a*x + b - 1)/n) is 1 rather than 0.
     """
     px, py = Fraction(p[0]), Fraction(p[1])
     qx, qy = Fraction(q[0]), Fraction(q[1])
@@ -140,96 +153,23 @@ def segment_lattice_count(
         lo, hi = min(py, qy), max(py, qy)
         count = max(0, math.floor(hi) - math.ceil(lo) + 1)
     else:
-        dx, dy = qx - px, qy - py
-        den = math.lcm(dx.denominator, dy.denominator)
-        ex, ey = int(dx * den), int(dy * den)
-        g = math.gcd(ex, ey)
-        ex, ey = ex // g, ey // g
-        if ex < 0:
-            ex, ey = -ex, -ey
-        # lattice x-coordinates on the carrier line advance in steps of ex
-        xlo, xhi = min(px, qx), max(px, qx)
-        first = None
-        x = math.ceil(xlo)
-        stop = math.floor(xhi)
-        for _ in range(ex):
-            if x > stop:
-                break
-            y = py + (x - px) * dy / dx
-            if y.denominator == 1:
-                first = x
-                break
-            x += 1
-        if first is None:
-            count = 0
-        else:
-            count = (stop - first) // ex + 1
+        a, b, n = _edge_line((px, py), (qx, qy))
+        x0 = math.ceil(min(px, qx))
+        cols = math.floor(max(px, qx)) - x0 + 1
+        start = a * x0 + b
+        count = floor_sum(cols, n, a, start) - floor_sum(cols, n, a, start - 1)
     if half_open and qx.denominator == 1 and qy.denominator == 1:
         count -= 1
     return count
 
 
-def _right_triangle_count(
-    xc: Fraction, yc: Fraction, x_far: Fraction, y_far: Fraction
-) -> int:
-    """Closed lattice count of the right triangle (xc,yc), (x_far,yc), (xc,y_far).
-
-    Reflections normalize the right angle to the lower-left corner; the
-    hypotenuse offset is snapped to its floor (an equality on lattice
-    points, since the primitive normal makes c1*m1 + c2*m2 an integer).
-    """
-    sx = 1 if x_far > xc else -1
-    sy = 1 if y_far > yc else -1
-    cx, fx = sx * xc, sx * x_far
-    cy, fy = sy * yc, sy * y_far
-
-    t1, a1 = cx.numerator, cx.denominator
-    t2, a2 = cy.numerator, cy.denominator
-    wx, wy = fx - cx, fy - cy  # positive leg lengths
-    den = math.lcm(wx.denominator, wy.denominator)
-    nx, ny = int(wy * den), int(wx * den)
-    g = math.gcd(nx, ny)
-    c1, c2 = nx // g, ny // g
-    t3 = math.floor(c1 * fx + c2 * cy)
-    if c1 * cx + c2 * cy > t3:
-        return 0  # the snapped region is empty, so no lattice points at all
-    return count_closure_triangle(
-        TriangleSpec(a1, a2, c1, c2), TriangleDilation(t1, t2, t3)
-    )
-
-
-def _rect_count(x_lo: int, x_hi: int, y_lo_excl: int, y_hi: Fraction) -> int:
-    """Lattice points with x in [x_lo, x_hi] and y in (y_lo_excl, y_hi]."""
-    rows = math.floor(y_hi) - y_lo_excl
-    return (x_hi - x_lo + 1) * max(0, rows)
-
-
 def _trapezoid_count(u: Point, v: Point, baseline: int) -> int:
     """Lattice points in integer columns of [min_x, max_x) strictly above
     the baseline and on or below segment uv (u, v not vertical)."""
-    xlo, xhi = (u[0], v[0]) if u[0] < v[0] else (v[0], u[0])
-    col_lo = math.ceil(xlo)
-    col_hi = math.ceil(xhi) - 1
-    if col_lo > col_hi:
-        return 0
-    dx, dy = v[0] - u[0], v[1] - u[1]
-
-    def height(x: int) -> Fraction:
-        return u[1] + (x - u[0]) * dy / dx
-
-    if col_lo == col_hi:
-        return math.floor(height(col_lo)) - baseline
-    if dy == 0:
-        return _rect_count(col_lo, col_hi, baseline, u[1])
-    y_left, y_right = height(col_lo), height(col_hi)
-    h = min(y_left, y_right)
-    rect = _rect_count(col_lo, col_hi, baseline, h)
-    if y_left > y_right:
-        tri = _right_triangle_count(Fraction(col_lo), h, Fraction(col_hi), y_left)
-    else:
-        tri = _right_triangle_count(Fraction(col_hi), h, Fraction(col_lo), y_right)
-    overlap = (col_hi - col_lo + 1) if h.denominator == 1 else 0
-    return rect + tri - overlap
+    a, b, n = _edge_line(u, v)
+    x0 = math.ceil(min(u[0], v[0]))
+    cols = math.ceil(max(u[0], v[0])) - x0
+    return floor_sum(cols, n, a, a * x0 + b) - cols * baseline
 
 
 def count_closure_polygon(poly: PolygonSpec) -> int:

@@ -71,7 +71,6 @@ class TriangleDilation:
                 raise InvalidDilationError(f"{name} must be an integer")
 
 
-@lru_cache(maxsize=None)
 def to_simplex_system(spec: TriangleSpec) -> SimplexSystem:
     """The triangle as a generic facet system, for oracle cross-checks."""
     return SimplexSystem(
@@ -156,6 +155,16 @@ def _nu_parts(
     return nu1, nu2, nu3, nu0_base
 
 
+def _dr_terms(spec: TriangleSpec, t1: int, t2: int, t3: int) -> tuple[Fraction, Fraction]:
+    """The two Dedekind-Rademacher sums of the closed form, with integer
+    shifts t3 - e2 and t3 - e1."""
+    a1, a2, c1, c2 = spec.a1, spec.a2, spec.c1, spec.c2
+    return (
+        dedekind_rademacher_sum(c1, c2, t3 - e_value(t2, a2, c2)),
+        dedekind_rademacher_sum(c2, c1, t3 - e_value(t1, a1, c1)),
+    )
+
+
 def nu_coefficients(
     spec: TriangleSpec, dil: TriangleDilation
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -165,15 +174,10 @@ def nu_coefficients(
     and, in nu0, from the Dedekind-Rademacher sums with integer shifts
     t3 - e2 and t3 - e1.
     """
-    a1, a2, c1, c2 = spec.a1, spec.a2, spec.c1, spec.c2
     t1, t2, t3 = dil.t1, dil.t2, dil.t3
-    nu1, nu2, nu3, nu0_base = _nu_parts(spec, (t1 - 1) % a1, (t2 - 1) % a2)
-    nu0 = (
-        nu0_base
-        + dedekind_rademacher_sum(c1, c2, t3 - e_value(t2, a2, c2))
-        + dedekind_rademacher_sum(c2, c1, t3 - e_value(t1, a1, c1))
-    )
-    return nu0, nu1, nu2, nu3
+    nu1, nu2, nu3, nu0_base = _nu_parts(spec, (t1 - 1) % spec.a1, (t2 - 1) % spec.a2)
+    dr1, dr2 = _dr_terms(spec, t1, t2, t3)
+    return nu0_base + dr1 + dr2, nu1, nu2, nu3
 
 
 def closed_form_value(spec: TriangleSpec, t1: int, t2: int, t3: int) -> Fraction:
@@ -188,15 +192,13 @@ def closed_form_value(spec: TriangleSpec, t1: int, t2: int, t3: int) -> Fraction
         - 2 * a1 * a2 * a2 * c1 * t1 * t3
         - 2 * a1 * a1 * a2 * c2 * t2 * t3
     )
-    nu1, nu2, nu3, nu0_base = _nu_parts(spec, (t1 - 1) % a1, (t2 - 1) % a2)
+    nu0, nu1, nu2, nu3 = nu_coefficients(spec, TriangleDilation(t1, t2, t3))
     return (
         Fraction(quad_num, 2 * a1 * a1 * a2 * a2 * c1 * c2)
         + nu1 * t1
         + nu2 * t2
         + nu3 * t3
-        + nu0_base
-        + dedekind_rademacher_sum(c1, c2, t3 - e_value(t2, a2, c2))
-        + dedekind_rademacher_sum(c2, c1, t3 - e_value(t1, a1, c1))
+        + nu0
     )
 
 
@@ -260,12 +262,5 @@ def unity_residue_sums(
     Each total equals -(Dedekind-Rademacher sum) + 1/(4*c), the sawtooth
     form of the corresponding root-of-unity sum.
     """
-    e1 = e_value(dil.t1, spec.a1, spec.c1)
-    e2 = e_value(dil.t2, spec.a2, spec.c2)
-    first = -dedekind_rademacher_sum(spec.c1, spec.c2, dil.t3 - e2) + Fraction(
-        1, 4 * spec.c1
-    )
-    second = -dedekind_rademacher_sum(spec.c2, spec.c1, dil.t3 - e1) + Fraction(
-        1, 4 * spec.c2
-    )
-    return first, second
+    dr1, dr2 = _dr_terms(spec, dil.t1, dil.t2, dil.t3)
+    return -dr1 + Fraction(1, 4 * spec.c1), -dr2 + Fraction(1, 4 * spec.c2)

@@ -1,5 +1,8 @@
 import pytest
 
+import latticecount.cli as cli
+import latticecount.oracle as oracle
+from latticecount import validate_dilation
 from latticecount.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -79,6 +82,21 @@ def test_count_machine_mode_deterministic(files, capsys):
     assert capsys.readouterr().out == first
     assert "count=10" in first
     assert "cross_checked=yes" in first
+
+
+def test_count_auto_validates_dilation_twice(files, capsys, monkeypatch):
+    # once in the CLI, once inside the brute-force cross-check
+    calls = []
+
+    def counting(system, t):
+        calls.append(tuple(t))
+        return validate_dilation(system, t)
+
+    monkeypatch.setattr(cli, "validate_dilation", counting)
+    monkeypatch.setattr(oracle, "validate_dilation", counting)
+    assert main(["count", files["triangle"], "--engine", "auto", "--machine"]) == EXIT_OK
+    assert "cross_checked=yes" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):

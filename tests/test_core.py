@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from latticecount import (
     validate_dilation,
     vertices,
 )
+from latticecount.core import floor_sum
 
 STD_TRIANGLE = SimplexSystem([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
 
@@ -44,6 +46,37 @@ def test_floor_identity_sweep(t, a):
     # divisor (a = -1, t = 0 is a counterexample otherwise), and every
     # divisor it is applied to in the counting recursion is positive
     assert floor_div(t - 1, a) == -floor_div(-t, a) - 1
+
+
+def test_floor_sum_edge_cases():
+    assert floor_sum(0, 7, 3, 5) == 0
+    assert floor_sum(0, 1, -10**6, 10**6) == 0
+    assert floor_sum(5, 1, 3, -2) == sum(3 * i - 2 for i in range(5))
+    assert floor_sum(4, 3, -5, -7) == sum((-5 * i - 7) // 3 for i in range(4))
+    with pytest.raises(ValueError):
+        floor_sum(-1, 3, 1, 1)
+    with pytest.raises(ValueError):
+        floor_sum(3, 0, 1, 1)
+
+
+@given(
+    st.integers(0, 300),
+    st.integers(1, 10**6),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+)
+def test_floor_sum_matches_direct_summation(n, m, a, b):
+    assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_huge_operands():
+    # for a coprime to m, (a*i + b) mod m runs over every residue once as i
+    # runs over 0..m-1, so the sum is (a - 1)(m - 1)/2 + b exactly
+    m = 10**30 + 57
+    for a in (10**30 - 1, 3**63, -(7**35)):
+        assert math.gcd(a, m) == 1
+        for b in (0, 10**30 + 1, -(10**29)):
+            assert floor_sum(m, m, a, b) == (a - 1) * (m - 1) // 2 + b
 
 
 def test_simplex_construction_rejects_singular_submatrix():

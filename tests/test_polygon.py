@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,13 @@ import pytest
 from latticecount import (
     PolygonError,
     PolygonSpec,
+    TriangleDilation,
+    TriangleSpec,
     boundary_lattice_count,
     count_closure_polygon,
+    count_closure_triangle,
     count_interior_polygon,
+    count_interior_triangle,
     picks_check,
     segment_lattice_count,
 )
@@ -30,6 +35,8 @@ def test_segment_examples():
 def test_segment_no_lattice_points():
     assert segment_lattice_count((Fraction(1, 2), 0), (Fraction(1, 2), 1)) == 0
     assert segment_lattice_count((Fraction(1, 3), Fraction(1, 3)), (2, 1)) == 1  # (2,1)
+    # 10^8 integer columns, none of them on the line
+    assert segment_lattice_count((Fraction(1, 2), 0), (10**8 + Fraction(1, 2), 1)) == 0
 
 
 def test_segment_brute_consistency():
@@ -65,6 +72,12 @@ def test_polygon_examples():
     assert count_interior_polygon(SQUARE2) == 1
     assert count_closure_polygon(RATIONAL_TRIANGLE) == 6
     assert count_interior_polygon(RATIONAL_TRIANGLE) == 1
+    # a thin sliver with large coprime denominators
+    sliver = PolygonSpec(
+        [(0, 0), (Fraction(1000, 1009) + Fraction(1, 3), 0), (0, Fraction(999, 1010))]
+    )
+    assert count_closure_polygon(sliver) == 2
+    assert count_interior_polygon(sliver) == 0
 
 
 def test_nonconvex_polygon():
@@ -156,6 +169,29 @@ def test_single_triangles_fuzz_against_bruteforce():
         closure, interior = polygon_bruteforce_counts(poly)
         assert count_closure_polygon(poly) == closure
         assert count_interior_polygon(poly) == interior
+
+
+def test_right_triangles_match_triangle_closed_form():
+    # the rectangular-triangle closed form is an independent exact path:
+    # a1*x >= t1, a2*y >= t2, c1*x + c2*y <= t3 as a counterclockwise polygon
+    rng = random.Random(44)
+    produced = 0
+    while produced < 150:
+        a1, a2 = rng.randint(1, 40), rng.randint(1, 40)
+        c1, c2 = rng.randint(1, 200), rng.randint(1, 200)
+        if math.gcd(c1, c2) != 1:
+            continue
+        produced += 1
+        t1, t2 = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
+        t3_min = (c1 * t1 * a2 + c2 * t2 * a1) // (a1 * a2) + 1
+        t3 = t3_min + rng.randint(0, 10 ** rng.randint(0, 9))
+        spec, dil = TriangleSpec(a1, a2, c1, c2), TriangleDilation(t1, t2, t3)
+        x0, y0 = Fraction(t1, a1), Fraction(t2, a2)
+        poly = PolygonSpec(
+            [(x0, y0), ((t3 - c2 * y0) / c1, y0), (x0, (t3 - c1 * x0) / c2)]
+        )
+        assert count_closure_polygon(poly) == count_closure_triangle(spec, dil)
+        assert count_interior_polygon(poly) == count_interior_triangle(spec, dil)
 
 
 # --- stress shapes: non-star polygons with walls, notches and collinear runs
