@@ -62,26 +62,49 @@ def floor_div(p: int, q: int) -> int:
     return p // q
 
 
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """Sum of floor((a*i + b)/m) over i = 0 .. n-1, for n >= 0 and m >= 1.
+def floor_sums(n: int, m: int, a: int, b: int) -> tuple[int, int, int]:
+    """(sum q_i, sum i*q_i, sum q_i^2) over i = 0 .. n-1, q_i = floor((a*i + b)/m).
 
+    Needs n >= 0 and m >= 1; a and b may have any sign and size.
     Euclid-like reduction (Knuth, TAOCP vol. 2, 3.3.3): split off the
-    integer parts of a/m and b/m, then count the same lattice points under
-    the line by rows instead of columns, which swaps the roles of a and m.
-    Runs in O(log m) rounds on exact integers of any sign and size.
+    integer parts qa = floor(a/m) and qb = floor(b/m), then count the same
+    lattice points under the line by rows instead of columns, which swaps
+    the roles of a and m.  Row y (1 <= y <= Y = floor((a*n + b)/m)) holds
+    the p = floor((m*(Y - y) + (a*n + b) mod m)/a) columns i >= n - p, so
+    the three sums of one round follow from the three sums of the next.
+    The descent records each round and the sums are composed on the way
+    back up; there is no recursion, and the rounds are O(log m).
     """
     if n < 0 or m < 1:
-        raise ValueError(f"floor_sum needs n >= 0 and m >= 1, got n={n}, m={m}")
-    total = 0
+        raise ValueError(f"floor_sums needs n >= 0 and m >= 1, got n={n}, m={m}")
+    rounds = []
     while True:
         qa, a = divmod(a, m)
         qb, b = divmod(b, m)
-        total += n * (n - 1) // 2 * qa + n * qb
         y_max = a * n + b
-        if y_max < m:
-            return total
-        n, b = divmod(y_max, m)
+        top = y_max // m
+        rounds.append((n, qa, qb, top))
+        if top == 0:
+            break
+        n, b = top, y_max - top * m
         m, a = a, m
+    f = g = h = 0  # the sums of the last round's reduced remainder, all zero
+    for n, qa, qb, top in reversed(rounds):
+        # undo the row/column swap: (f, g, h) are the next round's sums
+        g, h = ((2 * n - 1) * f - h) // 2, (2 * top - 1) * f - 2 * g
+        s1 = n * (n - 1) // 2
+        s2 = s1 * (2 * n - 1) // 3
+        f, g, h = (
+            f + qa * s1 + qb * n,
+            g + qa * s2 + qb * s1,
+            h + qa * qa * s2 + 2 * qa * qb * s1 + qb * qb * n + 2 * qa * g + 2 * qb * f,
+        )
+    return f, g, h
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a*i + b)/m) over i = 0 .. n-1: the first of `floor_sums`."""
+    return floor_sums(n, m, a, b)[0]
 
 
 def _as_int(x: object, what: str) -> int:
@@ -162,7 +185,8 @@ class ValidityReport:
     vertices: tuple[Point, ...] | None
 
     def __post_init__(self) -> None:
-        assert not (self.full_dimensional and not self.nonempty)
+        if self.full_dimensional and not self.nonempty:
+            raise LatticeCountError("a full-dimensional region cannot be empty")
 
 
 def check_dilation(system: SimplexSystem, t: Sequence[int]) -> DilationVector:

@@ -5,6 +5,11 @@ convention: ((x)) = -1/2 at integers, not 0 as in the classical Dedekind
 sum literature.  The right-triangle closed form depends on this choice, so
 it is implemented verbatim and exactly.
 
+A Dedekind-Rademacher sum is evaluated without a loop over its c terms:
+its floor parts are two sums of the Euclid-like kernel `core.floor_sums`,
+so it costs O(log) rounds in the size of c and of the shift's
+denominator, and no result is cached.
+
 The root-of-unity sums exist only as a floating-point cross-check of the
 finite-Fourier identity that converts them into sawtooth sums; production
 counting always goes through the exact sawtooth form.
@@ -15,9 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .core import LatticeCountError, Rational
+from .core import LatticeCountError, Rational, floor_sums
 
 
 class NumericConsistencyError(LatticeCountError):
@@ -33,21 +37,20 @@ def sawtooth(x: Rational | int) -> Fraction:
 def dedekind_rademacher_sum(c: int, cprime: int, shift: Rational | int) -> Fraction:
     """sum_{k=0}^{c-1} (( (shift - cprime*k)/c )) (( k/c )) exactly.
 
-    `shift` may be any rational; the sum is periodic in it with period c,
-    so lookups are cached on the representative shift in [0, c).
+    With shift = p/q, M = q*c and x_k = (p - q*cprime*k)/M, the sum is
+    sum_k (x_k - floor(x_k) - 1/2)(k/c - 1/2).  The parts without floors
+    are power sums of k; F = sum floor(x_k) and G = sum k*floor(x_k) come
+    from one `floor_sums` call, so the cost is O(log M) rounds, not O(c)
+    terms, and nothing is cached.  The result is one integer numerator
+    over 12*M.
     """
     if c < 1:
         raise ValueError("modulus c must be a positive integer")
-    shift = Fraction(shift)
-    return _dr_sum_cached(c, cprime % c, shift - c * math.floor(shift / c))
-
-
-@lru_cache(maxsize=None)
-def _dr_sum_cached(c: int, cprime: int, shift: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k in range(c):
-        total += sawtooth((shift - cprime * k) / c) * sawtooth(Fraction(k, c))
-    return total
+    p, q = shift.as_integer_ratio()
+    m = q * c
+    f, g, _ = floor_sums(c, m, -q * cprime, p)
+    num = 6 * m * f - 12 * q * g + 3 * m - 6 * p - q * cprime * (c - 1) * (c - 2)
+    return Fraction(num, 12 * m)
 
 
 def fourier_dedekind_numeric(

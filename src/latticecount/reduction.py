@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from ._linalg import det_int, mat_mul_int
-from .core import SimplexSystem
+from .core import LatticeCountError, SimplexSystem
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,17 @@ def unimodular_reduce(system: SimplexSystem) -> ReductionStep:
             u[i][j] = -q * u0 + p * uj
         row[0], row[j] = g, 0
 
-    assert row[0] != 0
+    if row[0] == 0:  # row 0 of a valid A is nonzero, so its gcd is too
+        raise LatticeCountError("first facet normal reduced to zero")
     if row[0] > 0:  # make facet 1 the lower bound on the first coordinate
         for i in range(n):
             u[i][0] = -u[i][0]
 
     basis_change = tuple(tuple(r) for r in u)
     reduced = mat_mul_int(system.a_matrix, basis_change)
-    assert reduced[0][0] < 0 and all(x == 0 for x in reduced[0][1:])
-    assert abs(det_int(basis_change)) == 1
+    unimodular = abs(det_int(basis_change)) == 1
+    if reduced[0][0] >= 0 or any(reduced[0][1:]) or not unimodular:
+        raise LatticeCountError("unimodular reduction failed its invariants")
 
     step = ReductionStep(
         basis_change=basis_change,

@@ -101,7 +101,7 @@ def e_value(tj: int, aj: int, cj: int) -> int:
     return (floor_div(tj - 1, aj) + 1) * cj
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _nu_parts(
     spec: TriangleSpec, r1: int, r2: int
 ) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -109,7 +109,8 @@ def _nu_parts(
 
     Everything here depends on the offsets only through the leg sawtooth
     values s_j = ((t_j - 1)/a_j)) = r_j/a_j - 1/2 with r_j = (t_j - 1) mod a_j,
-    so the pieces are cached per residue pair.
+    so the pieces are cached per residue pair (a bounded cache: a sweep over
+    one spec needs at most a1*a2 entries).
     """
     a1, a2, c1, c2 = spec.a1, spec.a2, spec.c1, spec.c2
     s1 = Fraction(r1, a1) - Fraction(1, 2)

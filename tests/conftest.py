@@ -15,6 +15,18 @@ from latticecount import (
 )
 
 
+def fibonacci_pair_above(bound: int) -> tuple[int, int]:
+    """Consecutive Fibonacci numbers (lo, hi) with hi >= bound.
+
+    Every Euclid round on them has quotient 1, so they give the deepest
+    descent for their size: about 1,400 rounds at 10^300.
+    """
+    lo, hi = 1, 1
+    while hi < bound:
+        lo, hi = hi, lo + hi
+    return lo, hi
+
+
 def random_simplex(rng: random.Random, n: int, entry_bound: int = 4) -> SimplexSystem:
     """Rejection-sample an (n+1) x n matrix satisfying both shape invariants."""
     while True:

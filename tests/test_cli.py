@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import latticecount
 import latticecount.cli as cli
 import latticecount.oracle as oracle
 from latticecount import validate_dilation
@@ -97,6 +103,32 @@ def test_count_auto_validates_dilation_twice(files, capsys, monkeypatch):
     assert main(["count", files["triangle"], "--engine", "auto", "--machine"]) == EXIT_OK
     assert "cross_checked=yes" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+def test_commands_unchanged_under_optimize_flag(files):
+    # python -O strips assert statements; invariants must not rely on them
+    env = dict(os.environ)
+    src = str(Path(latticecount.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "from latticecount.cli import entry; entry()"
+    triangle = "--a1 2 --a2 1 --c1 3 --c2 5 --t1 -3 --t2 1 --t3 40".split()
+    for args in (
+        ["triangle", *triangle, "--check-oracle"],
+        ["count", files["triangle"], "--engine", "auto", "--machine"],
+        ["count", files["mixed"], "--engine", "auto", "--mode", "interior"],
+    ):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-c", code, *args],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            for flags in ([], ["-O"])
+        ]
+        assert runs[0].returncode == EXIT_OK, runs[0].stderr
+        assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):

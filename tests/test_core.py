@@ -9,12 +9,16 @@ from hypothesis import strategies as st
 from latticecount import (
     InvalidDilationError,
     InvalidSimplexError,
+    LatticeCountError,
     SimplexSystem,
+    ValidityReport,
     floor_div,
     validate_dilation,
     vertices,
 )
-from latticecount.core import floor_sum
+from latticecount.core import floor_sum, floor_sums
+
+from conftest import fibonacci_pair_above
 
 STD_TRIANGLE = SimplexSystem([[-1, 0], [0, -1], [1, 1]], [0, 0, 1])
 
@@ -79,6 +83,45 @@ def test_floor_sum_huge_operands():
             assert floor_sum(m, m, a, b) == (a - 1) * (m - 1) // 2 + b
 
 
+def _direct_floor_sums(n, m, a, b):
+    q = [(a * i + b) // m for i in range(n)]
+    return sum(q), sum(i * x for i, x in enumerate(q)), sum(x * x for x in q)
+
+
+def test_floor_sums_edge_cases():
+    assert floor_sums(0, 7, -3, 5) == (0, 0, 0)
+    assert floor_sums(0, 1, -10**6, 10**6) == (0, 0, 0)
+    assert floor_sums(6, 1, -3, 4) == _direct_floor_sums(6, 1, -3, 4)
+    assert floor_sums(1, 5, 0, -11) == (-3, 0, 9)
+    with pytest.raises(ValueError):
+        floor_sums(-1, 3, 1, 1)
+    with pytest.raises(ValueError):
+        floor_sums(3, 0, 1, 1)
+
+
+@given(
+    st.integers(0, 200),
+    st.integers(1, 10**5),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+)
+def test_floor_sums_match_direct_summation(n, m, a, b):
+    assert floor_sums(n, m, a, b) == _direct_floor_sums(n, m, a, b)
+    assert floor_sum(n, m, a, b) == floor_sums(n, m, a, b)[0]
+
+
+def test_floor_sums_deep_euclid_descent():
+    # about 1,400 rounds: deeper than Python's default recursion limit
+    a, m = fibonacci_pair_above(10**300)
+    f, g, h = floor_sums(m, m, a, 0)
+    # a*i = m*q_i + r_i, and with a coprime to m the remainders r_i run over
+    # 0 .. m-1 once each, so sum r_i = s1 and sum r_i^2 = s2
+    s1 = m * (m - 1) // 2
+    s2 = (m - 1) * m * (2 * m - 1) // 6
+    assert a * s1 - m * f == s1
+    assert a * a * s2 - 2 * a * m * g + m * m * h == s2
+
+
 def test_simplex_construction_rejects_singular_submatrix():
     with pytest.raises(InvalidSimplexError):
         SimplexSystem([[-1, 0], [0, -1], [1, 0]], [0, 0, 1])
@@ -119,6 +162,12 @@ def test_vertices_infeasible():
 def test_vertices_rejects_bad_dilation_length():
     with pytest.raises(InvalidDilationError):
         vertices(STD_TRIANGLE, (0, 0))
+
+
+def test_validity_report_rejects_full_dimensional_empty():
+    # a raised error, not an assert, so python -O keeps the check
+    with pytest.raises(LatticeCountError):
+        ValidityReport(nonempty=False, bounded=True, full_dimensional=True, vertices=None)
 
 
 def test_validate_full_dimensional():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from latticecount import (
     fourier_identity_check,
     sawtooth,
 )
+
+from conftest import fibonacci_pair_above
 
 rationals = st.builds(
     Fraction, st.integers(-400, 400), st.integers(1, 40)
@@ -52,6 +55,38 @@ def test_dedekind_rademacher_periodic_in_shift():
 def test_dedekind_rademacher_rejects_bad_modulus():
     with pytest.raises(ValueError):
         dedekind_rademacher_sum(0, 1, 0)
+
+
+def _dr_sum_loop(c, cprime, shift):
+    """The O(c) definition, kept here as the reference for the Euclid path."""
+    shift = Fraction(shift)
+    total = Fraction(0)
+    for k in range(c):
+        total += sawtooth((shift - cprime * k) / c) * sawtooth(Fraction(k, c))
+    return total
+
+
+def test_dedekind_rademacher_matches_loop():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        c = rng.randint(1, 80)
+        cprime = rng.randint(-500, 500)
+        if rng.random() < 0.5:
+            shift = rng.randint(-2000, 2000)
+        else:
+            shift = Fraction(rng.randint(-2000, 2000), rng.randint(1, 40))
+        assert dedekind_rademacher_sum(c, cprime, shift) == _dr_sum_loop(c, cprime, shift)
+
+
+def test_dedekind_reciprocity_at_huge_modulus():
+    # with this sawtooth, DR(m, -a, 0) = s(a, m) + 1/4 for the classical
+    # Dedekind sum s, and s(a, m) + s(m, a) = (a/m + m/a + 1/(a*m))/12 - 1/4
+    # for coprime a, m (Rademacher), here at the deepest Euclid descent
+    a, m = fibonacci_pair_above(10**300)
+    s_am = dedekind_rademacher_sum(m, -a, 0) - Fraction(1, 4)
+    s_ma = dedekind_rademacher_sum(a, -m, 0) - Fraction(1, 4)
+    expected = (Fraction(a, m) + Fraction(m, a) + Fraction(1, a * m)) / 12
+    assert s_am + s_ma == expected - Fraction(1, 4)
 
 
 def test_fourier_numeric_examples():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,16 @@ import pytest
 from latticecount import (
     InvalidDilationError,
     InvalidSimplexError,
+    PolygonSpec,
     TriangleDilation,
     TriangleSpec,
+    count_closure,
     count_closure_bruteforce,
+    count_closure_polygon,
     count_closure_triangle,
+    count_interior,
     count_interior_bruteforce,
+    count_interior_polygon,
     count_interior_triangle,
     dilation_vector,
     e_value,
@@ -23,6 +29,9 @@ from latticecount import (
     unity_residue_sums,
     validate_dilation,
 )
+from latticecount.triangle import _nu_parts
+
+from conftest import fibonacci_pair_above
 
 UNIT = TriangleSpec(1, 1, 1, 1)
 
@@ -144,3 +153,63 @@ def test_closed_form_always_integral_on_valid_sweep():
         dil = TriangleDilation(t1, t2, t3)
         if is_valid_dilation(spec, dil):
             count_closure_triangle(spec, dil)  # raises if non-integer
+
+
+def _triangle_polygon(spec, dil):
+    """The dilated triangle as a counterclockwise vertex polygon."""
+    x0, y0 = Fraction(dil.t1, spec.a1), Fraction(dil.t2, spec.a2)
+    return PolygonSpec(
+        [
+            (x0, y0),
+            ((dil.t3 - spec.c2 * y0) / spec.c1, y0),
+            (x0, (dil.t3 - spec.c1 * x0) / spec.c2),
+        ]
+    )
+
+
+def test_three_paths_agree_beyond_enumeration():
+    # closed form, slicing recursion and polygon edge pass on triangles far
+    # too large to enumerate; at most 40 columns keep the recursion cheap
+    rng = random.Random(12)
+    checked = 0
+    while checked < 200:
+        c1, c2 = rng.randint(1, 10**12), rng.randint(1, 10**12)
+        if math.gcd(c1, c2) != 1:
+            continue
+        checked += 1
+        spec = TriangleSpec(rng.randint(1, 5), rng.randint(1, 5), c1, c2)
+        t1, t2 = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+        width = rng.randint(1, 40)
+        x0, y0 = Fraction(t1, spec.a1), Fraction(t2, spec.a2)
+        t3 = math.floor(c1 * (x0 + width) + c2 * y0)
+        dil = TriangleDilation(t1, t2, t3)
+        system, t = to_simplex_system(spec), dilation_vector(dil)
+        poly = _triangle_polygon(spec, dil)
+        closure = count_closure_triangle(spec, dil)
+        assert closure == count_closure(system, t) == count_closure_polygon(poly)
+        interior = count_interior_triangle(spec, dil)
+        assert interior == count_interior(system, t) == count_interior_polygon(poly)
+
+
+def test_huge_hypotenuse_normal_counts_fast():
+    # c near 10^300, at the deepest Euclid descent
+    lo, hi = fibonacci_pair_above(10**300)
+    spec = TriangleSpec(3, 2, hi, lo)
+    dil = TriangleDilation(-7, 5, hi * 11 + lo * 9)
+    start = time.perf_counter()
+    closure = count_closure_triangle(spec, dil)
+    interior = count_interior_triangle(spec, dil)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    poly = _triangle_polygon(spec, dil)
+    assert closure == count_closure_polygon(poly)
+    assert interior == count_interior_polygon(poly)
+
+
+def test_nu_parts_cache_is_bounded():
+    rng = random.Random(13)
+    for _ in range(5000):
+        a1, a2 = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        spec = TriangleSpec(a1, a2, 1, rng.randint(1, 50))
+        count_closure_triangle(spec, TriangleDilation(0, 0, a1 * a2))
+    assert _nu_parts.cache_info().currsize <= 1024
