@@ -25,6 +25,14 @@ offsets b and b - 1.
 
 The interior count is the closure count minus the boundary count, the
 boundary being covered exactly once by half-open edges.
+
+Validation (``PolygonSpec``) runs on integers: the vertices are scaled once
+by the lcm L of all coordinate denominators, which multiplies every
+orientation, area and dot product by L^2 > 0 and so keeps every sign and
+equality the simplicity tests look at.  Each pair of non-adjacent edges first
+compares its closed bounding boxes, and only pairs whose boxes meet go to
+the exact segment test: disjoint boxes mean disjoint segments.  A polygon
+with m vertices costs O(m^2) integer comparisons and a few exact tests.
 """
 
 from __future__ import annotations
@@ -72,46 +80,77 @@ def _segments_touch(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     )
 
 
+def _point(v: Sequence[Rational | int], error: type[Exception], name: str) -> Point:
+    """v as a pair of Fractions; anything that is not a pair of finite
+    rationals raises ``error`` naming ``name``."""
+    try:
+        x, y = v
+        return Fraction(x), Fraction(y)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise error(f"{name} must be a pair of finite rationals, got {v!r}") from exc
+
+
 @dataclass(frozen=True)
 class PolygonSpec:
-    """Simple polygon with rational vertices, ordered counterclockwise."""
+    """Simple polygon with rational vertices, ordered counterclockwise.
+
+    ``vertices`` is the tuple of ``Fraction`` pairs.  Construction raises
+    ``PolygonError`` unless every vertex is a pair of finite rationals, there
+    are at least 3 of them, consecutive vertices differ, no edge doubles back
+    along its predecessor, no two non-adjacent edges share a point and the
+    order is counterclockwise.  The checks run on the vertices scaled to
+    integers, with an exact bounding-box prefilter before each pairwise
+    segment test: O(m^2) integer comparisons (see the module docstring).
+    """
 
     vertices: tuple[Point, ...]
 
     def __init__(self, vertices: Sequence[Sequence[Rational | int]]):
-        verts = tuple((Fraction(v[0]), Fraction(v[1])) for v in vertices)
+        verts = tuple(
+            _point(v, PolygonError, f"vertex {i}") for i, v in enumerate(vertices)
+        )
         m = len(verts)
         if m < 3:
             raise PolygonError("a polygon needs at least 3 vertices")
-        for i in range(m):
-            if verts[i] == verts[(i + 1) % m]:
+        scale = math.lcm(*(c.denominator for v in verts for c in v))
+        pts = [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in verts
+        ]
+        edges = list(zip(pts, pts[1:] + pts[:1]))
+        for a, b in edges:
+            if a == b:
                 raise PolygonError("consecutive vertices must be distinct")
         # Simplicity: adjacent edges may only share their common vertex
         # (no doubling back along the same line), other pairs must be disjoint.
-        for i in range(m):
-            a, b = verts[i], verts[(i + 1) % m]
-            w = verts[(i + 2) % m]
+        for (a, b), (_, w) in zip(edges, edges[1:] + edges[:1]):
             if _orient(a, b, w) == 0:
                 along = (w[0] - b[0]) * (b[0] - a[0]) + (w[1] - b[1]) * (b[1] - a[1])
                 if along <= 0:
                     raise PolygonError("boundary doubles back on itself")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if j == i + 1 or (i == 0 and j == m - 1):
+        boxes = [
+            (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+            for a, b in edges
+        ]
+        for i in range(m - 2):
+            x_lo, x_hi, y_lo, y_hi = boxes[i]
+            p1, p2 = edges[i]
+            # edge 0 and edge m - 1 are adjacent
+            stop = m - 1 if i == 0 else m
+            for j, (bx_lo, bx_hi, by_lo, by_hi) in enumerate(boxes[i + 2 : stop], i + 2):
+                if bx_lo > x_hi or x_lo > bx_hi or by_lo > y_hi or y_lo > by_hi:
                     continue
-                if _segments_touch(
-                    verts[i], verts[(i + 1) % m], verts[j], verts[(j + 1) % m]
-                ):
+                if _segments_touch(p1, p2, *edges[j]):
                     raise PolygonError(
                         f"edges {i} and {j} intersect; polygon is not simple"
                     )
-        if _twice_area(verts) <= 0:
+        if _twice_area(pts) <= 0:
             raise PolygonError("vertices must be ordered counterclockwise")
         object.__setattr__(self, "vertices", verts)
 
 
-def _twice_area(verts: Sequence[Point]) -> Fraction:
-    total = Fraction(0)
+def _twice_area(verts: Sequence[Point]) -> Fraction | int:
+    total = 0
     m = len(verts)
     for i in range(m):
         x1, y1 = verts[i]
@@ -142,8 +181,8 @@ def segment_lattice_count(
     lattice point exactly when n divides a*x + b, that is when
     floor((a*x + b)/n) - floor((a*x + b - 1)/n) is 1 rather than 0.
     """
-    px, py = Fraction(p[0]), Fraction(p[1])
-    qx, qy = Fraction(q[0]), Fraction(q[1])
+    px, py = _point(p, ValueError, "endpoint p")
+    qx, qy = _point(q, ValueError, "endpoint q")
     if (px, py) == (qx, qy):
         raise ValueError("segment endpoints must differ")
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -282,3 +283,201 @@ def test_large_integral_shapes_picks_and_translation():
         shifted = PolygonSpec([(x + 5, y - 11) for x, y in shape])
         assert count_closure_polygon(shifted) == count_closure_polygon(poly)
         assert count_interior_polygon(shifted) == count_interior_polygon(poly)
+
+
+# --- validation on integer-scaled vertices
+
+
+def _ref_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _ref_on_segment(a, b, p):
+    if _ref_orient(a, b, p) != 0:
+        return False
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _ref_segments_touch(p1, p2, q1, q2):
+    o1, o2 = _ref_orient(p1, p2, q1), _ref_orient(p1, p2, q2)
+    o3, o4 = _ref_orient(q1, q2, p1), _ref_orient(q1, q2, p2)
+    if ((o1 > 0) != (o2 > 0) and o1 != 0 and o2 != 0) and (
+        (o3 > 0) != (o4 > 0) and o3 != 0 and o4 != 0
+    ):
+        return True
+    return (
+        _ref_on_segment(p1, p2, q1)
+        or _ref_on_segment(p1, p2, q2)
+        or _ref_on_segment(q1, q2, p1)
+        or _ref_on_segment(q1, q2, p2)
+    )
+
+
+def _reference_rejection(vertices):
+    """The message of the plain Fraction pairwise validator, or None when it
+    accepts: every pair of non-adjacent edges goes to the exact test."""
+    verts = tuple((Fraction(v[0]), Fraction(v[1])) for v in vertices)
+    m = len(verts)
+    if m < 3:
+        return "a polygon needs at least 3 vertices"
+    for i in range(m):
+        if verts[i] == verts[(i + 1) % m]:
+            return "consecutive vertices must be distinct"
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
+        w = verts[(i + 2) % m]
+        if _ref_orient(a, b, w) == 0:
+            along = (w[0] - b[0]) * (b[0] - a[0]) + (w[1] - b[1]) * (b[1] - a[1])
+            if along <= 0:
+                return "boundary doubles back on itself"
+    for i in range(m):
+        for j in range(i + 1, m):
+            if j == i + 1 or (i == 0 and j == m - 1):
+                continue
+            if _ref_segments_touch(
+                verts[i], verts[(i + 1) % m], verts[j], verts[(j + 1) % m]
+            ):
+                return f"edges {i} and {j} intersect; polygon is not simple"
+    twice_area = sum(
+        verts[i][0] * verts[(i + 1) % m][1] - verts[(i + 1) % m][0] * verts[i][1]
+        for i in range(m)
+    )
+    if twice_area <= 0:
+        return "vertices must be ordered counterclockwise"
+    return None
+
+
+def _near_degenerate_vertex_list(rng):
+    """3 to 10 vertices on the 0..4 grid: raw order (crossings, T-junctions,
+    collinear overlaps), sorted about the centroid (mostly simple, with
+    collinear runs), the same reversed (clockwise), or sorted with a
+    non-consecutive vertex repeated (pinches)."""
+    m = rng.randint(3, 9)
+    pts = rng.sample([(x, y) for x in range(5) for y in range(5)], m)
+    mode = rng.randrange(4)
+    if mode:
+        cx = sum(x for x, _ in pts) / m
+        cy = sum(y for _, y in pts) / m
+        pts.sort(key=lambda p: (math.atan2(p[1] - cy, p[0] - cx), p))
+        if mode == 2:
+            pts.reverse()
+        elif mode == 3:
+            pts.insert(rng.randrange(m + 1), pts[rng.randrange(m)])
+    return pts
+
+
+def test_validation_matches_fraction_reference():
+    rng = random.Random(61)
+    outcomes = {}
+    maps = [
+        lambda x, y: (x, y),
+        lambda x, y: (Fraction(x, 3), Fraction(y, 3)),
+        lambda x, y: (x + Fraction(1, 2), y + Fraction(1, 7)),
+    ]
+    for _ in range(2000):
+        pts = _near_degenerate_vertex_list(rng)
+        for transform in maps:
+            verts = [transform(x, y) for x, y in pts]
+            expected = _reference_rejection(verts)
+            try:
+                poly = PolygonSpec(verts)
+            except PolygonError as exc:
+                assert str(exc) == expected, verts
+            else:
+                assert expected is None, verts
+                assert poly.vertices == tuple((Fraction(x), Fraction(y)) for x, y in verts)
+            kind = "accepted" if expected is None else expected.split(";")[0].split()[0]
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every outcome is common, so the comparison above is not vacuous
+    assert set(outcomes) == {"accepted", "consecutive", "boundary", "edges", "vertices"}
+    assert min(outcomes.values()) >= 300, outcomes
+
+
+def test_malformed_vertices_raise_polygon_error():
+    tri = [(0, 0), (1, 0), (0, 1)]
+    bad = [
+        (0, (0, 0, 5)),  # a third coordinate is not dropped
+        (1, (1,)),
+        (2, (float("inf"), 1)),
+        (2, (0, float("nan"))),
+        (1, ("x", 0)),
+        (2, ("1/0", 1)),
+        (0, None),
+        (1, 7),
+    ]
+    for index, vertex in bad:
+        verts = list(tri)
+        verts[index] = vertex
+        with pytest.raises(PolygonError, match=f"^vertex {index} "):
+            PolygonSpec(verts)
+    with pytest.raises(PolygonError, match="^vertex 0 "):
+        PolygonSpec([(0, 0, 5), (1, 0, 5), (0, 1, 5)])
+    # everything Fraction accepts keeps working
+    mixed = PolygonSpec([(0, 0), (1.5, Fraction(0)), ("1/2", "3/2")])
+    assert mixed == PolygonSpec([(0, 0), (Fraction(3, 2), 0), (Fraction(1, 2), Fraction(3, 2))])
+    assert hash(mixed) == hash(PolygonSpec(list(mixed.vertices)))
+
+
+def test_segment_rejects_malformed_endpoints():
+    for bad in [(0, 0, 5), (1,), (float("inf"), 0), (0, float("nan")), ("x", 0), None]:
+        with pytest.raises(ValueError, match="^endpoint p "):
+            segment_lattice_count(bad, (3, 3))
+        with pytest.raises(ValueError, match="^endpoint q "):
+            segment_lattice_count((3, 3), bad)
+    assert segment_lattice_count((0.0, "0"), ("3", Fraction(3))) == 4
+
+
+def _star(rng, m, radius, q):
+    """Counterclockwise star-shaped polygon about the origin on the 1/q grid:
+    one vertex per angular sector, with radii between 0.7 and 1 radius."""
+    verts = []
+    for i in range(m):
+        theta = 2 * math.pi * (i + 0.3 + 0.4 * rng.random()) / m
+        r = radius * (0.7 + 0.3 * rng.random())
+        verts.append(
+            (Fraction(round(r * math.cos(theta) * q), q),
+             Fraction(round(r * math.sin(theta) * q), q))
+        )
+    return verts
+
+
+def test_many_vertices_build_and_count_fast():
+    verts = _star(random.Random(62), 2000, 1000, 3)
+    start = time.perf_counter()
+    poly = PolygonSpec(verts)
+    closure, interior = count_closure_polygon(poly), count_interior_polygon(poly)
+    assert time.perf_counter() - start < 3.0
+    shifted = PolygonSpec([(x + 7, y - 4) for x, y in verts])
+    assert count_closure_polygon(shifted) == closure
+    assert count_interior_polygon(shifted) == interior
+    assert picks_check(PolygonSpec([(3 * x, 3 * y) for x, y in verts]))
+
+
+def _primes_from(n, k):
+    primes = []
+    while len(primes) < k:
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def test_huge_common_denominator_matches_bruteforce():
+    # one prime near 10^6 per vertex, so all coordinates scale by ~10^72
+    rng = random.Random(63)
+    verts = []
+    for k, p in enumerate(_primes_from(10**6, 12)):
+        theta = 2 * math.pi * (k + 0.3 + 0.4 * rng.random()) / 12
+        r = 4 + 2 * rng.random()
+        x = Fraction(round((0.5 + r * math.cos(theta)) * p), p)
+        y = Fraction(round((0.25 + r * math.sin(theta)) * p), p)
+        assert x.denominator == y.denominator == p
+        verts.append((x, y))
+    assert math.lcm(*(c.denominator for v in verts for c in v)) > 10**70
+    poly = PolygonSpec(verts)
+    closure, interior = polygon_bruteforce_counts(poly)
+    assert count_closure_polygon(poly) == closure
+    assert count_interior_polygon(poly) == interior
